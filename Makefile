@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke ci
+.PHONY: all build vet test race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check bench-smoke analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke ci
 
 all: build
 
@@ -17,9 +17,10 @@ race:
 	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs
 
 # Race detector over the concurrency-heavy packages the simulation
-# harness exercises (runtime, clustering protocol, GST build, harness).
+# harness exercises (runtime, clustering protocol, GST build, harness)
+# and the disk store, whose block cache recycles buffers across readers.
 test-race:
-	$(GO) test -race ./internal/par ./internal/cluster ./internal/pgst ./internal/sim
+	$(GO) test -race ./internal/par ./internal/cluster ./internal/pgst ./internal/sim ./internal/seq/diskstore
 
 # Coverage gate: the harness and its union-find oracle model must stay
 # above 70% statement coverage.
@@ -113,6 +114,12 @@ bench-check:
 	# the labeled capture must cost ≤5% (+50ms slack) over off.
 	$(GO) run ./cmd/benchrun -workload cluster -profile-overhead
 
+# Kernel microbenchmark smoke: one iteration of each per-kernel
+# benchmark (GST bucket build in chars/s, disk-store reads in seqs/s),
+# so they keep building and running.
+bench-smoke:
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/suffixtree ./internal/seq/diskstore
+
 # Transport conformance: the sim partition and causal-trace oracles
 # against every transport backend under the race detector — in-process
 # goroutines, then TCP and Unix-socket ranks as real OS processes (the
@@ -172,4 +179,4 @@ profile-smoke:
 outofcore-smoke:
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
 
-ci: vet build test race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke bench-check
+ci: vet build test race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke bench-smoke bench-check

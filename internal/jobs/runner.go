@@ -88,6 +88,17 @@ func MaybeRunJob() bool {
 // its artifacts — all byte-identical by the pipeline's manifest
 // contract.
 func RunJob(dir string) int {
+	// Graceful drain: SIGTERM requests a checkpoint at the next phase
+	// boundary instead of killing the attempt mid-phase. Installed
+	// first, so a drain during start-up is caught, not fatal.
+	interrupt := make(chan struct{})
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
+	go func() {
+		<-sigs
+		close(interrupt)
+	}()
+
 	var spec Spec
 	if err := readJSON(filepath.Join(dir, specFile), &spec); err != nil {
 		fmt.Fprintln(os.Stderr, "runner:", err)
@@ -104,16 +115,6 @@ func RunJob(dir string) int {
 		fmt.Fprintln(os.Stderr, "runner: fail_inject=hang: wedging forever")
 		select {}
 	}
-
-	// Graceful drain: SIGTERM requests a checkpoint at the next phase
-	// boundary instead of killing the attempt mid-phase.
-	interrupt := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		<-sigs
-		close(interrupt)
-	}()
 
 	f, err := os.Open(filepath.Join(dir, inputFile))
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -453,6 +454,41 @@ func TestDrainRequeuesAndRestartCompletes(t *testing.T) {
 	if c := fetchArtifact(t, base2, job.ID, "contigs"); len(c) == 0 {
 		t.Error("no contigs after drain + restart")
 	}
+}
+
+// TestDrainRightAfterSpawnIsUncharged: a drain whose SIGTERM reaches
+// the runner before it can install its handler kills the child
+// outright. That death is the drain's doing, so the attempt must be
+// requeued uncharged, exactly like one that checkpointed.
+func TestDrainRightAfterSpawnIsUncharged(t *testing.T) {
+	srv, err := Open(Config{Dir: t.TempDir(), Workers: 1, AttemptDeadline: time.Minute,
+		DrainTimeout: 10 * time.Second, GCInterval: time.Hour, Backoff: testBackoff()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs?psi=20&w=10",
+		bytes.NewReader(makeFASTA(t, 37, 1, 3000, 100))))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body)
+	}
+	job := srv.claim()
+	if job == nil {
+		t.Fatal("submitted job not claimable")
+	}
+	// Draining before the attempt starts makes runAttempt SIGTERM the
+	// child the moment it is spawned.
+	srv.drainOne.Do(func() { close(srv.draining) })
+	srv.runAttempt(0, job)
+
+	srv.mu.Lock()
+	state, attempts, requeues := job.State, job.Attempts, job.Requeues
+	srv.mu.Unlock()
+	if state != StateQueued || attempts != 0 || requeues != 1 {
+		t.Errorf("after drain at spawn: state %s, %d attempts charged, %d requeues; want queued, 0, 1",
+			state, attempts, requeues)
+	}
+	srv.Drain(context.Background())
 }
 
 func startInprocServer(t *testing.T, cfg Config) (*Server, string) {

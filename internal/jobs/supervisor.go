@@ -154,6 +154,11 @@ wait:
 	case waitErr == nil:
 		s.finish(job, Record{Op: OpDone, Job: job.ID})
 		s.logf("worker %d: job %s done", w, job.ID)
+	case drained && termSignaled(waitErr):
+		// The drain's SIGTERM landed before the child could catch it
+		// (runtime start-up, spec load): nothing ran that a resume
+		// would miss, and the death is the supervisor's doing.
+		s.finish(job, Record{Op: OpRequeue, Job: job.ID, Reason: "drain (terminated before checkpoint handler)"})
 	default:
 		switch exitCode(waitErr) {
 		case ExitInterrupted:
@@ -191,6 +196,16 @@ func (s *Server) setPID(job *Job, pid int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.PID = pid
+}
+
+// termSignaled reports whether the process was killed by SIGTERM.
+func termSignaled(err error) bool {
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		return false
+	}
+	ws, ok := ee.Sys().(syscall.WaitStatus)
+	return ok && ws.Signaled() && ws.Signal() == syscall.SIGTERM
 }
 
 // exitCode extracts the process exit status (-1 when unknown/signal).

@@ -14,8 +14,9 @@
 package pgst
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -153,6 +154,8 @@ type keyedSuffix struct {
 	suf suffixtree.Suffix
 }
 
+func byKey(a, b keyedSuffix) int { return cmp.Compare(a.key, b.key) }
+
 // enumerateOwner enumerates and keys the suffixes of owner rank me's
 // fragment range (both orientations), keeping only keys for which keep
 // returns true (nil: keep everything). Returns the kept suffixes and
@@ -208,7 +211,7 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	}
 
 	// Phase 2: sort local suffixes by key and agree on splitters.
-	sort.Slice(local, func(i, j int) bool { return local[i].key < local[j].key })
+	slices.SortFunc(local, byKey)
 	c.ChargeCompute(float64(len(local)) * log2f(len(local)) * costSort)
 	splitters := chooseSplitters(c, local, owners, cfg)
 
@@ -218,10 +221,15 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGSTRedist, 0, 0)
 	mine := redistribute(c, st, local, splitters, bounds, cfg)
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseGSTRedist, 0, 0)
-	sort.Slice(mine, func(i, j int) bool { return mine[i].key < mine[j].key })
+	slices.SortFunc(mine, byKey)
 	c.ChargeCompute(float64(len(mine)) * log2f(len(mine)) * costSort)
 
-	// Phase 4: split into buckets and plan fetch batches.
+	// Phase 4: split into buckets and plan fetch batches. Buckets are
+	// disjoint windows of one suffix array.
+	sufs := make([]suffixtree.Suffix, len(mine))
+	for i := range mine {
+		sufs[i] = mine[i].suf
+	}
 	var buckets [][]suffixtree.Suffix
 	var keys []seq.Kmer
 	for lo := 0; lo < len(mine); {
@@ -229,11 +237,7 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 		for hi < len(mine) && mine[hi].key == mine[lo].key {
 			hi++
 		}
-		b := make([]suffixtree.Suffix, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			b = append(b, mine[i].suf)
-		}
-		buckets = append(buckets, b)
+		buckets = append(buckets, sufs[lo:hi:hi])
 		keys = append(keys, mine[lo].key)
 		lo = hi
 	}
@@ -358,7 +362,7 @@ func chooseSplitters(c *par.Comm, local []keyedSuffix, owners int, cfg Config) [
 				samples = append(samples, seq.Kmer(r.Uint()))
 			}
 		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		slices.Sort(samples)
 		out := wire.NewBuffer((owners - 1) * 9)
 		for i := 1; i < owners; i++ {
 			idx := i * len(samples) / owners
@@ -503,7 +507,7 @@ func agreeSevered(c *par.Comm, got []bool, cfg Config) []int {
 		for s := range miss {
 			sorted = append(sorted, s)
 		}
-		sort.Ints(sorted)
+		slices.Sort(sorted)
 		for _, s := range sorted {
 			out.PutInt(s)
 		}

@@ -19,7 +19,7 @@
 package pgst
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/seq"
@@ -133,22 +133,23 @@ func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, k
 			}
 		}
 	}
-	sort.Slice(mine, func(i, j int) bool { return mine[i].key < mine[j].key })
+	slices.SortFunc(mine, byKey)
 	cost = float64(chars)*costChar +
 		float64(len(mine))*(costSuf+log2f(len(mine))*costSort)
 
 	access := memoAccess(st, 256)
 	before := ib.Work()
+	var bucket []suffixtree.Suffix
 	for lo := 0; lo < len(mine); {
 		hi := lo
 		for hi < len(mine) && mine[hi].key == mine[lo].key {
 			hi++
 		}
-		b := make([]suffixtree.Suffix, 0, hi-lo)
+		bucket = bucket[:0]
 		for i := lo; i < hi; i++ {
-			b = append(b, mine[i].suf)
+			bucket = append(bucket, mine[i].suf)
 		}
-		ib.AddBucket(access, b)
+		ib.AddBucket(access, bucket)
 		nbuckets++
 		lo = hi
 	}
@@ -157,9 +158,10 @@ func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, k
 }
 
 // memoAccess wraps st.Seq in a bounded memo so tree construction —
-// which touches the same few sequences repeatedly within a bucket —
-// does not re-decode a disk-backed sequence on every access. The memo
-// resets past maxEntries, keeping resident decoded bases bounded.
+// which resolves one sequence per suffix, bucket after bucket — does
+// not re-decode a disk-backed sequence each time a nearby bucket holds
+// another of its suffixes. The memo resets past maxEntries, keeping
+// resident decoded bases bounded.
 func memoAccess(st seq.Seqs, maxEntries int) suffixtree.Access {
 	m := make(map[int32][]byte, maxEntries)
 	return func(sid int32) []byte {
@@ -246,7 +248,7 @@ func sampleOwnerKeys(st seq.Seqs, bounds []int, me int, cfg Config, perRank int)
 			idx++
 		})
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys, chars
 }
 

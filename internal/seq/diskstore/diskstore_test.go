@@ -218,21 +218,34 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders: Seq must be safe under concurrent access with
-// a tiny cache (assembly workers and in-process ranks share a store).
+// multiBlockFrags is sampleFrags plus enough random fragments that the
+// packed data spans at least four cache blocks, so a one-block cache
+// evicts — and recycles its buffer — on nearly every read.
+func multiBlockFrags() []*seq.Fragment {
+	return append(sampleFrags(), randomFrags(rand.New(rand.NewSource(11)), 12000)...)
+}
+
+// TestConcurrentReaders: concurrent Seq calls over a store of several
+// blocks under a one-block cache must each see their own sequence's
+// bytes, although every miss overwrites the buffer other readers last
+// copied from.
 func TestConcurrentReaders(t *testing.T) {
-	frags := sampleFrags()
+	frags := multiBlockFrags()
 	mem := seq.NewStore(frags)
 	disk, err := Create(t.TempDir(), frags, Options{CacheBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
+	if disk.cache.size < 4*blockSize || disk.cache.max != 1 {
+		t.Fatalf("store spans %d bytes under a %d-block cache; want ≥ 4 blocks under 1",
+			disk.cache.size, disk.cache.max)
+	}
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func(g int) {
 			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 500; i++ {
+			for i := 0; i < 2000; i++ {
 				sid := rng.Intn(disk.NumSeqs())
 				if !bytes.Equal(disk.Seq(sid), mem.Seq(sid)) {
 					done <- os.ErrInvalid
@@ -247,6 +260,27 @@ func TestConcurrentReaders(t *testing.T) {
 			t.Fatal("concurrent reader saw wrong bases")
 		}
 	}
+	if _, misses := disk.CacheStats(); misses < 100 {
+		t.Fatalf("only %d cache misses; the readers did not cycle blocks", misses)
+	}
+}
+
+// BenchmarkDiskSeq measures Seq over a multi-block store under a
+// one-block cache, visiting sequence IDs in a fixed random order as
+// bucket-by-bucket tree construction does, so most reads miss.
+func BenchmarkDiskSeq(b *testing.B) {
+	disk, err := Create(b.TempDir(), multiBlockFrags(), Options{CacheBytes: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+	order := rand.New(rand.NewSource(1)).Perm(disk.NumSeqs())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		disk.Seq(order[i%len(order)])
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 }
 
 var _ seq.Seqs = (*Store)(nil)

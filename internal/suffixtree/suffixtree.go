@@ -16,7 +16,8 @@
 package suffixtree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/seq"
 )
@@ -41,6 +42,9 @@ type Suffix struct {
 // Access returns the bases of a sequence ID; the tree builder and the
 // pair generator use it instead of a concrete store so the parallel
 // construction can substitute locally fetched fragments.
+// IncrementalBuilder.AddBucket calls it once per suffix of the bucket
+// and reads the returned slice until AddBucket returns, so the slice
+// must stay valid and unmodified until then.
 type Access func(sid int32) []byte
 
 // NoNode marks an absent node reference.
@@ -50,12 +54,12 @@ const NoNode int32 = -1
 // (FirstChild / NextSib). A leaf (no children) owns the suffixes
 // Sufs[SufStart:SufEnd] of the Tree; internal nodes own none.
 type Node struct {
-	Parent   int32
-	Depth    int32 // string-depth: length of the root-to-node path label
+	Parent     int32
+	Depth      int32 // string-depth: length of the root-to-node path label
 	FirstChild int32
-	NextSib  int32
-	SufStart int32
-	SufEnd   int32
+	NextSib    int32
+	SufStart   int32
+	SufEnd     int32
 }
 
 // Tree is a bucket forest: the part of the generalized suffix tree at
@@ -177,7 +181,7 @@ func Build(access Access, sufs []Suffix, w int) *Tree {
 			ks = append(ks, keyed{key, sf})
 		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	slices.SortFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 
 	ib := NewIncrementalBuilder(w)
 	ib.b.tree.Nodes = make([]Node, 0, len(ks)/2+4)
@@ -230,20 +234,31 @@ func NewIncrementalBuilder(w int) *IncrementalBuilder {
 // (by sequence ID, then position) first, so the tree — and therefore
 // which occurrence duplicate elimination retains during pair
 // generation — is identical no matter how the bucket was assembled.
+// access is called once per suffix, after that sort.
 func (ib *IncrementalBuilder) AddBucket(access Access, bucket []Suffix) {
 	if len(bucket) == 0 {
 		return
 	}
-	sort.Slice(bucket, func(i, j int) bool {
-		if bucket[i].Sid != bucket[j].Sid {
-			return bucket[i].Sid < bucket[j].Sid
+	slices.SortFunc(bucket, func(a, b Suffix) int {
+		if a.Sid != b.Sid {
+			return cmp.Compare(a.Sid, b.Sid)
 		}
-		return bucket[i].Pos < bucket[j].Pos
+		return cmp.Compare(a.Pos, b.Pos)
 	})
-	ib.b.access = access
-	root := ib.b.build(bucket, int32(ib.b.tree.W), NoNode)
-	ib.b.tree.Roots = append(ib.b.tree.Roots, root)
-	ib.b.access = nil
+	b := &ib.b
+	b.items = b.items[:0]
+	for _, sf := range bucket {
+		b.items = append(b.items, item{s: access(sf.Sid)[sf.Pos:], suf: sf})
+	}
+	n := len(b.items)
+	b.class = slices.Grow(b.class[:0], n)[:n]
+	b.scratch = slices.Grow(b.scratch[:0], n)[:n]
+	root := b.build(0, n, int32(b.tree.W), NoNode)
+	b.tree.Roots = append(b.tree.Roots, root)
+	// Drop the byte references so a spilling sweep does not pin the
+	// bucket's sequences until the next bucket overwrites them.
+	clear(b.items)
+	clear(b.scratch)
 }
 
 // Tree returns the accumulated forest.
@@ -253,10 +268,33 @@ func (ib *IncrementalBuilder) Tree() *Tree { return ib.b.tree }
 // exact measure of construction work for modeled-time accounting.
 func (ib *IncrementalBuilder) Work() int64 { return ib.b.work }
 
+// item is one suffix of the bucket under construction with its bytes
+// from the suffix start on, resolved once per AddBucket.
+type item struct {
+	s   []byte
+	suf Suffix
+}
+
+// Character classes of a suffix at a string-depth, in the order build
+// lays a partitioned range out: terminated suffixes, masked ones, then
+// one class per base code.
+const (
+	classEnded = iota
+	classMasked
+	classBase  // classBase+c for base code c
+	numClasses = classBase + 4
+)
+
 type builder struct {
-	access Access
-	tree   *Tree
-	work   int64 // characters examined; exact construction work measure
+	tree *Tree
+	work int64 // characters examined; exact construction work measure
+
+	// Per-bucket buffers, reused across buckets: the bucket's items,
+	// each item's class at the depth being partitioned, and the scatter
+	// target of the stable counting partition.
+	items   []item
+	class   []uint8
+	scratch []item
 }
 
 func (b *builder) newNode(parent, depth int32) int32 {
@@ -272,11 +310,14 @@ func (b *builder) newNode(parent, depth int32) int32 {
 	return id
 }
 
-func (b *builder) newLeaf(parent, depth int32, sufs []Suffix) int32 {
+// newLeaf creates a leaf owning the suffixes of items[lo:hi].
+func (b *builder) newLeaf(parent, depth int32, lo, hi int) int32 {
 	id := b.newNode(parent, depth)
 	n := &b.tree.Nodes[id]
 	n.SufStart = int32(len(b.tree.Sufs))
-	b.tree.Sufs = append(b.tree.Sufs, sufs...)
+	for _, it := range b.items[lo:hi] {
+		b.tree.Sufs = append(b.tree.Sufs, it.suf)
+	}
 	n.SufEnd = int32(len(b.tree.Sufs))
 	return id
 }
@@ -288,89 +329,104 @@ func (b *builder) attach(parent, child int32) {
 	b.tree.Nodes[parent].FirstChild = child
 }
 
-// charAt classifies the character of suffix sf at string-depth depth:
-// 0..3 base code, -1 masked, -2 end of string.
-func (b *builder) charAt(sf Suffix, depth int32) int {
-	b.work++
-	s := b.access(sf.Sid)
-	i := int(sf.Pos) + int(depth)
-	if i >= len(s) {
-		return -2
+// sharedRun returns the number of characters, from string-depth depth
+// on, in which every item carries the same unmasked base: the edge
+// length path compression can skip before the next branch.
+func sharedRun(items []item, depth int32) int {
+	ref := items[0].s[depth:]
+	k := 0
+	for k < len(ref) && seq.IsBase(ref[k]) {
+		k++
 	}
-	return seq.Code(s[i])
+	for _, it := range items[1:] {
+		s := it.s[depth:]
+		j := 0
+		for j < k && j < len(s) && s[j] == ref[j] {
+			j++
+		}
+		k = j
+		if k == 0 {
+			break
+		}
+	}
+	return k
 }
 
-// build constructs the subtree for sufs, which all share their first
-// `depth` characters, and returns its node ID.
-func (b *builder) build(sufs []Suffix, depth int32, parent int32) int32 {
-	if len(sufs) == 1 {
+// build constructs the subtree for items[lo:hi], which all share their
+// first depth characters, and returns its node ID. The range is
+// partitioned in place, so children recurse on sub-ranges.
+func (b *builder) build(lo, hi int, depth int32, parent int32) int32 {
+	items := b.items[lo:hi]
+	if len(items) == 1 {
 		// A singleton's edge extends to the end of its suffix; its
 		// string-depth is the full remaining length. A masked byte in
 		// the remainder cannot matter: singleton leaves generate no
 		// pairs and the depth is only an ordering key, but for exact
 		// semantics clamp the depth at the first masked byte.
-		sf := sufs[0]
-		s := b.access(sf.Sid)
-		end := int(sf.Pos) + int(depth)
+		s := items[0].s
+		end := int(depth)
 		for end < len(s) && seq.IsBase(s[end]) {
 			end++
-			b.work++
 		}
-		return b.newLeaf(parent, int32(end-int(sf.Pos)), sufs)
+		b.work += int64(end - int(depth))
+		return b.newLeaf(parent, int32(end), lo, hi)
 	}
 
-	var groups [4][]Suffix
-	var ended []Suffix
-	var masked []Suffix
-	for {
-		for i := range groups {
-			groups[i] = groups[i][:0]
-		}
-		ended, masked = ended[:0], masked[:0]
-		for _, sf := range sufs {
-			switch c := b.charAt(sf, depth); c {
-			case -2:
-				ended = append(ended, sf)
-			case -1:
-				masked = append(masked, sf)
-			default:
-				groups[c] = append(groups[c], sf)
-			}
-		}
-		// Path compression: with a single surviving base class and no
-		// terminations the edge simply extends.
-		total := 0
-		for c := range groups {
-			if len(groups[c]) > 0 {
-				total++
-			}
-		}
-		if total == 1 && len(ended) == 0 && len(masked) == 0 {
-			depth++
-			continue
-		}
-		if total == 0 && len(masked) == 0 {
-			// Everything ends here: one leaf of identical suffixes.
-			return b.newLeaf(parent, depth, ended)
-		}
-
-		// Branch point: create the internal node and its children.
-		u := b.newNode(parent, depth)
-		if len(ended) > 0 {
-			leaf := b.newLeaf(u, depth, ended)
-			b.attach(u, leaf)
-		}
-		for _, sf := range masked {
-			leaf := b.newLeaf(u, depth, []Suffix{sf})
-			b.attach(u, leaf)
-		}
-		for c := 3; c >= 0; c-- {
-			if len(groups[c]) == 0 {
-				continue
-			}
-			child := b.build(groups[c], depth+1, u)
-			b.attach(u, child)
-		}
-		return u
+	// Path compression: while every suffix continues with the same
+	// base the edge simply extends. Each skipped depth counts as one
+	// examined character per suffix, as a classifying pass would.
+	if k := sharedRun(items, depth); k > 0 {
+		b.work += int64(k) * int64(len(items))
+		depth += int32(k)
 	}
+
+	// Classify every suffix at depth, then scatter stably by class.
+	var count [numClasses]int
+	class := b.class[lo:hi]
+	for i, it := range items {
+		c := uint8(classEnded)
+		if int(depth) < len(it.s) {
+			if code := seq.Code(it.s[depth]); code < 0 {
+				c = classMasked
+			} else {
+				c = classBase + uint8(code)
+			}
+		}
+		class[i] = c
+		count[c]++
+	}
+	b.work += int64(len(items))
+
+	if count[classEnded] == len(items) {
+		// Everything ends here: one leaf of identical suffixes.
+		return b.newLeaf(parent, depth, lo, hi)
+	}
+	var start [numClasses + 1]int
+	start[0] = lo
+	for c := 0; c < numClasses; c++ {
+		start[c+1] = start[c] + count[c]
+	}
+	next := start
+	scratch := b.scratch
+	for i, it := range items {
+		scratch[next[class[i]]] = it
+		next[class[i]]++
+	}
+	copy(items, scratch[lo:hi])
+
+	// Branch point: the internal node, then its terminated leaf, its
+	// masked singletons and its base children from T down to A.
+	u := b.newNode(parent, depth)
+	if start[classEnded] < start[classEnded+1] {
+		b.attach(u, b.newLeaf(u, depth, start[classEnded], start[classEnded+1]))
+	}
+	for i := start[classMasked]; i < start[classMasked+1]; i++ {
+		b.attach(u, b.newLeaf(u, depth, i, i+1))
+	}
+	for c := numClasses - 1; c >= classBase; c-- {
+		if start[c] < start[c+1] {
+			b.attach(u, b.build(start[c], start[c+1], depth+1, u))
+		}
+	}
+	return u
 }

@@ -187,27 +187,46 @@ func spawnChildren(t *testing.T, network, registry string, extraEnv ...string) m
 	return children
 }
 
+// killInClustering SIGKILLs cmd, the process of rank killRank, as soon
+// as rank 0's trace shows the master protocol loop: every rank has
+// then passed the GST barrier, so the kill lands mid-clustering
+// however quickly the host built the tree. It gives up when stop is
+// closed.
+func killInClustering(t *testing.T, tr *obs.Tracer, killRank int, cmd *exec.Cmd, stop <-chan struct{}) {
+	for {
+		for _, e := range tr.Events(0) {
+			if e.Kind == obs.EvPhaseEnter && e.A == obs.PhaseMaster {
+				t.Logf("SIGKILL rank %d as clustering starts", killRank)
+				_ = cmd.Process.Signal(syscall.SIGKILL)
+				return
+			}
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
 // runJob drives one multi-process clustering job: worker ranks are
 // re-executions of this test binary, rank 0 runs in-test. killRank,
-// when ≥ 1, is SIGKILLed killAfter into the run. It returns the
+// when ≥ 1, is SIGKILLed as clustering starts. It returns the
 // master's partition labels, the run statistics, and the merged
 // per-process event dump (the killed rank's dump is missing, which
 // the merge marks as truncated).
-func runJob(t *testing.T, network string, killRank int, killAfter time.Duration) ([]int, cluster.Stats, *obs.Dump) {
+func runJob(t *testing.T, network string, killRank int) ([]int, cluster.Stats, *obs.Dump) {
 	t.Helper()
 	registry := t.TempDir()
 	children := spawnChildren(t, network, registry)
 
-	if killRank >= 1 {
-		cmd := children[killRank]
-		time.AfterFunc(killAfter, func() {
-			t.Logf("SIGKILL rank %d after %v", killRank, killAfter)
-			_ = cmd.Process.Signal(syscall.SIGKILL)
-		})
-	}
-
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
+	stopKill := make(chan struct{})
+	defer close(stopKill)
+	if killRank >= 1 {
+		go killInClustering(t, tr, killRank, children[killRank], stopKill)
+	}
 	trans, err := newTransport(0, network, registry)
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +309,12 @@ func TestConformanceInproc(t *testing.T) {
 }
 
 func TestConformanceTCP(t *testing.T) {
-	labels, _, merged := runJob(t, "tcp", 0, 0)
+	labels, _, merged := runJob(t, "tcp", 0)
 	assertCanonical(t, labels, merged)
 }
 
 func TestConformanceUnix(t *testing.T) {
-	labels, _, merged := runJob(t, "unix", 0, 0)
+	labels, _, merged := runJob(t, "unix", 0)
 	assertCanonical(t, labels, merged)
 }
 
@@ -305,7 +324,7 @@ func TestConformanceUnix(t *testing.T) {
 // writes its events dump — the merge marks it truncated and the
 // remaining streams must still satisfy the causal invariants.
 func TestConformanceSIGKILL(t *testing.T) {
-	labels, stats, merged := runJob(t, "tcp", 2, 250*time.Millisecond)
+	labels, stats, merged := runJob(t, "tcp", 2)
 	assertCanonical(t, labels, merged)
 	if stats.WorkersLost < 1 {
 		t.Errorf("kill landed after the run finished: WorkersLost=%d (expected ≥ 1); partition still canonical", stats.WorkersLost)

@@ -50,10 +50,18 @@ func getStatus(t *testing.T, base string) *collector.Status {
 	return &st
 }
 
+// clusteringPhase holds the phases a worker streams while it takes
+// part in clustering.
+var clusteringPhase = map[string]bool{
+	obs.PhaseName(obs.PhaseCluster): true,
+	obs.PhaseName(obs.PhasePairGen): true,
+	obs.PhaseName(obs.PhaseAlign):   true,
+}
+
 // runLiveJob runs one collector-observed multi-process job and returns
 // the master's stats, the collector, its base URL, and the per-process
 // dumps post-hoc merging would use (rank → dump; killed ranks absent).
-func runLiveJob(t *testing.T, network string, killRank int, killAfter time.Duration, cfg collector.Config) (cluster.Stats, *collector.Collector, string, map[int]*obs.Dump) {
+func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config) (cluster.Stats, *collector.Collector, string, map[int]*obs.Dump) {
 	t.Helper()
 	registry := t.TempDir()
 	cfg.Ranks = jobSize
@@ -69,10 +77,12 @@ func runLiveJob(t *testing.T, network string, killRank int, killAfter time.Durat
 	children := spawnChildren(t, network, registry, envCollector+"="+base)
 	if killRank >= 1 {
 		cmd := children[killRank]
-		// Kill only once the collector has heard from the rank: its
-		// death then shows up as a growing heartbeat lag rather than a
-		// rank that never reported, regardless of how slowly the child
-		// process starts (the race detector makes startup ~10x slower).
+		// Kill only once the collector has seen the rank in a
+		// clustering phase: its death then shows up as a growing
+		// heartbeat lag rather than a rank that never reported, and
+		// it dies holding leases, regardless of how slowly the child
+		// process starts (the race detector makes startup ~10x
+		// slower) or how quickly the GST phase ends.
 		go func() {
 			deadline := time.Now().Add(2 * time.Minute)
 			for time.Now().Before(deadline) {
@@ -85,8 +95,7 @@ func runLiveJob(t *testing.T, network string, killRank int, killAfter time.Durat
 				resp.Body.Close()
 				if derr == nil {
 					for _, row := range st.Ranks {
-						if row.Rank == killRank && row.State != collector.StateWaiting {
-							time.Sleep(killAfter)
+						if row.Rank == killRank && clusteringPhase[row.Phase] {
 							_ = cmd.Process.Kill()
 							return
 						}
@@ -243,7 +252,7 @@ func assertLiveMatchesPostHoc(t *testing.T, col *collector.Collector, merged *ob
 
 // TestObsLiveTCP: clean 4-process TCP run under a collector.
 func TestObsLiveTCP(t *testing.T) {
-	_, col, base, dumps := runLiveJob(t, "tcp", 0, 0, collector.Config{})
+	_, col, base, dumps := runLiveJob(t, "tcp", 0, collector.Config{})
 
 	st := getStatus(t, base)
 	if !st.Complete || !st.ExitOK {
@@ -287,7 +296,7 @@ func partialStream(t *testing.T, col *collector.Collector, rank int) *obs.Dump {
 // merging and analysis.
 func TestObsLiveSIGKILL(t *testing.T) {
 	const killRank = 2
-	stats, col, base, dumps := runLiveJob(t, "tcp", killRank, 250*time.Millisecond,
+	stats, col, base, dumps := runLiveJob(t, "tcp", killRank,
 		collector.Config{WarnAfter: 500 * time.Millisecond, DeadAfter: 2 * time.Second})
 
 	if stats.WorkersLost < 1 {
