@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check bench-smoke analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke ci
+.PHONY: all build vet test race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check bench-smoke analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
 
 all: build
 
@@ -179,4 +179,12 @@ profile-smoke:
 outofcore-smoke:
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
 
-ci: vet build test race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke bench-smoke bench-check
+# Launcher smoke: builds asmcluster, asmpipeline and asmnode and runs
+# them on one genomesim input — partitions identical across inproc,
+# tcp, unix and asmnode -spawn, contigs identical in-process, over tcp
+# and over unix on the disk store, per-rank events dumps merge-check,
+# failures exit 1, no registry or temp store left in TMPDIR.
+cli-smoke:
+	GO=$(GO) bash scripts/cli-smoke.sh
+
+ci: vet build test race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke bench-smoke bench-check

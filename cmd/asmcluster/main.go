@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -22,15 +21,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/launch"
-	"repro/internal/obs"
-	"repro/internal/obs/analyze"
-	"repro/internal/obs/collector"
-	"repro/internal/obs/prof"
 	"repro/internal/par"
 	"repro/internal/report"
 )
 
 func main() {
+	h := launch.New("asmcluster")
 	in := flag.String("in", "", "input FASTA file (required)")
 	out := flag.String("out", "clusters.tsv", "output cluster assignment TSV")
 	ranks := flag.Int("ranks", 1, "simulated ranks (1 = serial)")
@@ -42,275 +38,75 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "spilling GST byte budget; 0 builds the full forest in memory")
 	faults := flag.String("faults", "", "fault injection spec, e.g. crash=2@5,drop=0.01,seed=7 (see cluster.ParseFaults)")
 	lease := flag.Duration("lease", 250*time.Millisecond, "master lease timeout for fault runs")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace, /analyze and /debug/pprof on this host:port while running")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace JSON of the run to this file (load in ui.perfetto.dev)")
-	eventsOut := flag.String("events-out", "", "write the raw events dump to this file (input for traceanalyze)")
-	transport := flag.String("transport", "inproc", "run parallel ranks as: inproc goroutines, or tcp / unix OS processes")
-	collectorAddr := flag.String("collector", "", "run a live telemetry collector on this host:port; every rank streams health, metrics and trace deltas to it (poll with asmtop)")
-	collectorLinger := flag.Duration("collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
-	profDir := flag.String("prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
+	h.Flags(flag.CommandLine)
+	flag.StringVar(&h.TraceOut, "trace-out", "", "write a Chrome trace JSON of the run to this file, FILE.rank<r> per rank of a multi-process run (load in ui.perfetto.dev)")
+	flag.StringVar(&h.Transport, "transport", "inproc", "run parallel ranks as: inproc goroutines, or tcp / unix OS processes")
+	flag.StringVar(&h.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	// Multi-process transport: the job root becomes rank 0 and forks
-	// the workers; a re-executed child finds its rank in the
-	// environment, clusters, and exits without writing output.
-	rank := 0
-	registry, epoch := "", uint64(0)
-	colURL := ""
-	var colSrv *obs.Server
-	var fleet *launch.Fleet
-	var trans par.Transport
-	switch *transport {
-	case "inproc":
-	case "tcp", "unix":
-		if *ranks < 2 {
-			fmt.Fprintln(os.Stderr, "asmcluster: -transport", *transport, "requires -ranks ≥ 2")
-			os.Exit(2)
-		}
-		if *faults != "" {
-			fmt.Fprintln(os.Stderr, "asmcluster: -faults is for the simulated in-process machine; use real process kills instead")
-			os.Exit(2)
-		}
-		child, isChild, err := launch.FromEnv()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		if isChild {
-			rank, registry, epoch = child.Rank, child.Registry, child.Epoch
-			// The parent decides per-rank observability: children listen
-			// on the ephemeral address it forwarded (or not at all) and
-			// stream to the collector it started.
-			*obsAddr = child.ObsAddr
-			colURL = child.Collector
-		} else {
-			if registry, err = os.MkdirTemp("", "asmcluster-registry-"); err != nil {
-				fmt.Fprintln(os.Stderr, "asmcluster:", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(registry)
-			epoch = launch.Epoch()
-			if *collectorAddr != "" {
-				_, colSrv, colURL, err = launch.StartCollector(collector.Config{Ranks: *ranks, Job: "asmcluster"}, *collectorAddr, registry, epoch)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "asmcluster:", err)
-					os.Exit(1)
-				}
-				defer func() { time.Sleep(*collectorLinger); colSrv.Close() }()
-				fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", colURL)
-			}
-			childObs := ""
-			if *obsAddr != "" {
-				childObs = "127.0.0.1:0" // per-rank ephemeral server, address published to the registry
-			}
-			tel := launch.Telemetry{ObsAddr: childObs, Collector: colURL}
-			if fleet, err = launch.Spawn(*ranks, *transport, registry, epoch, tel); err != nil {
-				fmt.Fprintln(os.Stderr, "asmcluster:", err)
-				os.Exit(1)
-			}
-			defer fleet.Wait()
-		}
-		if trans, err = launch.NewTransport(rank, *ranks, *transport, registry, epoch, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		defer trans.Close()
-	default:
-		fmt.Fprintln(os.Stderr, "asmcluster: unknown -transport", *transport, "(inproc, tcp, unix)")
-		os.Exit(2)
-	}
-
-	if *collectorAddr != "" && trans == nil {
-		// In-process machine: one collector, one reporter covering all
-		// ranks (the single tracer spans the whole run).
-		var err error
-		_, colSrv, colURL, err = launch.StartCollector(collector.Config{Ranks: *ranks, Job: "asmcluster"}, *collectorAddr, "", 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		defer func() { time.Sleep(*collectorLinger); colSrv.Close() }()
-		fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", colURL)
-	}
-
-	var tr *obs.Tracer
-	var reg *obs.Registry
-	if *obsAddr != "" || *traceOut != "" || *eventsOut != "" || colURL != "" {
-		tr = obs.NewTracer(*ranks, obs.DefaultRingCap)
-		reg = obs.NewRegistry()
-	}
-	if *obsAddr != "" {
-		srv, err := launch.ServeRankObs(*obsAddr, rank, reg, tr, registry, epoch, analyze.Endpoint(tr))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		if rank == 0 {
-			fmt.Printf("observability server on http://%s (/metrics /trace /timeline /analyze /debug/pprof)\n", srv.Addr)
-		}
-	}
-	var rep *collector.Reporter
-	if colURL != "" {
-		covers := []int{rank}
-		if trans == nil {
-			covers = launch.AllRanks(*ranks)
-		}
-		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: rank, Covers: covers, Job: "asmcluster",
-			Tracer: tr, Registry: reg,
-		})
-	}
-
-	// Graceful interrupt: flush whatever telemetry exists (trace and
-	// events dumps, reporter final flush with an "interrupted" verdict),
-	// stop spawned worker ranks, and drain the collector before exiting.
-	launch.OnSignal(func(sig os.Signal) {
-		var dump *obs.Dump
-		if tr != nil {
-			dump = tr.Dump()
-		}
-		rep.Close(dump, false, "interrupted: "+sig.String())
-		if dump != nil && *eventsOut != "" {
-			if ef, err := os.Create(*eventsOut + ".interrupted"); err == nil {
-				dump.WriteJSON(ef)
-				ef.Close()
-			}
-		}
-		if tr != nil && *traceOut != "" {
-			if tf, err := os.Create(*traceOut + ".interrupted"); err == nil {
-				tr.WriteChromeTrace(tf)
-				tf.Close()
-			}
-		}
-		if fleet != nil {
-			fleet.KillAll()
-		}
-		if colSrv != nil {
-			colSrv.Close()
-		}
-	})
-
-	f, err := os.Open(*in)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asmcluster:", err)
-		os.Exit(1)
-	}
-	frags, err := repro.ReadFASTA(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asmcluster:", err)
-		os.Exit(1)
-	}
-
-	store, closeStore, err := core.OpenStore(frags, core.StoreConfig{Backend: *storeBackend})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asmcluster:", err)
-		os.Exit(2)
-	}
-	if closeStore != nil {
-		defer closeStore()
-	}
 	cfg := cluster.DefaultConfig()
 	cfg.Psi = *psi
 	cfg.W = *w
 	cfg.Criteria.MinOverlap = *minOverlap
 	cfg.Criteria.MinIdentity = *minIdentity
 	cfg.MemBudget = *memBudget
-
-	var profSess *prof.Session
-	if *profDir != "" {
-		// PID-unique stems keep multi-process ranks from clobbering
-		// each other in a shared -prof-dir.
-		profSess, err = prof.Start(prof.Config{
-			Dir:      *profDir,
-			Name:     fmt.Sprintf("rank%d-p%d", rank, os.Getpid()),
-			Registry: reg,
-		})
+	pcfg := cluster.DefaultParallelConfig(*ranks)
+	if *faults != "" {
+		if h.Transport != "inproc" {
+			h.Exit(launch.Usagef("-faults is for the simulated in-process machine; use real process kills instead"))
+		}
+		plan, err := cluster.ParseFaults(*faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster: profiling disabled:", err)
+			h.Exit(launch.UsageError{Err: err})
 		}
-	}
-	stopProf := func() {
-		if profSess == nil {
-			return
-		}
-		arts, perr := profSess.Stop()
-		profSess = nil
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster: profile stop:", perr)
-		} else if rank == 0 {
-			fmt.Printf("profile artifacts: %s (asmprof %s)\n", arts.CPU, *profDir)
-		}
-	}
-
-	var res *cluster.Result
-	if *ranks >= 2 {
-		pcfg := cluster.DefaultParallelConfig(*ranks)
-		pcfg.Trace = tr
-		pcfg.Metrics = reg
-		if *faults != "" {
-			plan, err := cluster.ParseFaults(*faults)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "asmcluster:", err)
-				os.Exit(2)
-			}
-			pcfg.Faults = plan
-			pcfg.LeaseTimeout = *lease
-		}
-		var perr error
-		if trans != nil {
-			pcfg.FT = true // real processes genuinely die
-			res, _, _, perr = cluster.ParallelRank(store, cfg, pcfg, rank, trans)
-		} else {
-			res, _, perr = cluster.Parallel(store, cfg, pcfg)
-		}
-		if perr != nil {
-			stopProf()
-			rep.Close(nil, false, perr.Error())
-			fmt.Fprintln(os.Stderr, "asmcluster:", perr)
-			os.Exit(1)
-		}
-	} else {
-		if *faults != "" {
+		pcfg.Faults = plan
+		pcfg.LeaseTimeout = *lease
+		if *ranks < 2 {
 			fmt.Fprintln(os.Stderr, "asmcluster: -faults ignored with -ranks 1 (serial run)")
 		}
-		res = cluster.Serial(store, cfg)
 	}
-	stopProf()
 
-	if trans != nil && *eventsOut != "" {
-		// One dump per OS process; merge with tracecheck -events.
-		*eventsOut = fmt.Sprintf("%s.rank%d", *eventsOut, rank)
+	frags, err := repro.ReadFASTAFile(*in)
+	if err != nil {
+		h.Exit(err)
 	}
-	// One tracer snapshot shared by the events file and the reporter's
-	// final flush, so the collector's merged trace is byte-identical to
-	// merging the dump files.
-	var dump *obs.Dump
-	if tr != nil {
-		dump = tr.Dump()
+	store, closeStore, err := core.OpenStore(frags, core.StoreConfig{Backend: *storeBackend})
+	if err != nil {
+		h.Exit(launch.UsageError{Err: err})
 	}
-	if rank != 0 {
-		// Worker-rank process: the master owns every output file
-		// except this rank's own events dump.
-		if *eventsOut != "" {
-			ef, err := os.Create(*eventsOut)
-			if err == nil {
-				if err = dump.WriteJSON(ef); err == nil {
-					err = ef.Close()
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "asmcluster:", err)
-				os.Exit(1)
-			}
-		}
-		rep.Close(dump, true, "")
-		return
+	if closeStore != nil {
+		h.AtExit(func() { closeStore() })
+	}
+
+	// Every process of a multi-process run parses the same flags and
+	// input; a re-executed worker finds its rank in the environment,
+	// clusters, and exits without writing output.
+	h.OnSignal()
+	if err := h.Start(*ranks); err != nil {
+		h.Exit(err)
+	}
+	pcfg.Trace = h.Tracer
+	pcfg.Metrics = h.Metrics
+	var res *cluster.Result
+	exit := par.Exit{OK: true}
+	switch {
+	case *ranks < 2:
+		res = cluster.Serial(store, cfg)
+	case h.Trans != nil:
+		pcfg.FT = true // real processes genuinely die
+		res, _, exit, err = cluster.ParallelRank(store, cfg, pcfg, h.Rank, h.Trans)
+	default:
+		res, _, err = cluster.Parallel(store, cfg, pcfg)
+	}
+	if err != nil {
+		h.Exit(err)
+	}
+	if h.Rank != 0 {
+		h.Finish(exit) // the master owns every output file
 	}
 
 	sum := res.Summarize()
@@ -330,53 +126,13 @@ func main() {
 	tb.Fprint(os.Stdout)
 
 	of, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asmcluster:", err)
-		os.Exit(1)
-	}
-	defer of.Close()
-	bw := bufio.NewWriter(of)
-	defer bw.Flush()
-	labels := make([]int, store.N())
-	for _, g := range res.UF.Groups() {
-		for _, fid := range g {
-			labels[fid] = g[0]
+	if err == nil {
+		if err = cluster.WriteLabelsTSV(of, store, res); err == nil {
+			err = of.Close()
 		}
 	}
-	for i := 0; i < store.N(); i++ {
-		fmt.Fprintf(bw, "%s\t%d\n", store.FragName(i), labels[i])
+	if err == nil {
+		fmt.Printf("wrote %s\n", *out)
 	}
-	fmt.Printf("wrote %s\n", *out)
-
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		if err := tr.WriteChromeTrace(tf); err == nil {
-			err = tf.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *traceOut)
-	}
-	if *eventsOut != "" {
-		ef, err := os.Create(*eventsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		if err := dump.WriteJSON(ef); err == nil {
-			err = ef.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmcluster:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *eventsOut)
-	}
-	rep.Close(dump, true, "")
+	h.Exit(err)
 }

@@ -31,22 +31,13 @@ import (
 	"repro/internal/assembly"
 	"repro/internal/cluster"
 	"repro/internal/launch"
-	"repro/internal/obs"
-	"repro/internal/obs/analyze"
-	"repro/internal/obs/collector"
-	"repro/internal/obs/prof"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/preprocess"
 	"repro/internal/seq"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "asmpipeline:", err)
-	os.Exit(1)
-}
-
 func main() {
+	h := launch.New("asmpipeline")
 	in := flag.String("in", "", "input FASTA file (required)")
 	qual := flag.String("qual", "", "optional companion .qual file (enables quality trimming)")
 	out := flag.String("out", "contigs.fa", "output contig FASTA")
@@ -62,158 +53,26 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "spilling GST byte budget; 0 builds the full forest in memory")
 	retries := flag.Int("assembly-retries", 1, "per-cluster assembly retries before quarantine")
 	deadline := flag.Duration("assembly-deadline", 0, "per-attempt assembly wall budget (0 = none)")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace, /analyze and /debug/pprof on this host:port while running")
-	eventsOut := flag.String("events-out", "", "write the raw events dump to this file (input for traceanalyze)")
-	transport := flag.String("transport", "inproc", "run parallel clustering ranks as: inproc goroutines, or tcp / unix OS processes")
-	collectorAddr := flag.String("collector", "", "run a live telemetry collector on this host:port; every rank streams health, metrics and trace deltas to it (poll with asmtop)")
-	collectorLinger := flag.Duration("collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
-	profDir := flag.String("prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
+	h.Flags(flag.CommandLine)
+	flag.StringVar(&h.Transport, "transport", "inproc", "run parallel clustering ranks as: inproc goroutines, or tcp / unix OS processes")
+	flag.StringVar(&h.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *resume && *workdir == "" {
-		fail(fmt.Errorf("-resume requires -workdir"))
+		h.Exit(launch.Usagef("-resume requires -workdir"))
 	}
 
-	// Multi-process transport: this process is either the job root
-	// (becomes rank 0 and forks the workers) or a re-executed child
-	// that finds its rank in the environment. Every rank re-reads and
-	// re-preprocesses the same input deterministically; only rank 0
-	// assembles and writes output.
-	rank := 0
-	registry, epoch := "", uint64(0)
-	colURL := ""
-	var colSrv *obs.Server
-	var fleet *launch.Fleet
-	var trans par.Transport
-	switch *transport {
-	case "inproc":
-	case "tcp", "unix":
-		if *ranks < 2 {
-			fail(fmt.Errorf("-transport %s requires -ranks ≥ 2", *transport))
-		}
-		if *faults != "" {
-			fail(fmt.Errorf("-faults is for the simulated in-process machine; use real process kills with -transport %s", *transport))
-		}
-		child, isChild, err := launch.FromEnv()
-		if err != nil {
-			fail(err)
-		}
-		if isChild {
-			rank, registry, epoch = child.Rank, child.Registry, child.Epoch
-			// The parent decides per-rank observability: children listen
-			// on the ephemeral address it forwarded (or not at all) and
-			// stream to the collector it started.
-			*obsAddr = child.ObsAddr
-			colURL = child.Collector
-		} else {
-			if registry, err = os.MkdirTemp("", "asmpipeline-registry-"); err != nil {
-				fail(err)
-			}
-			defer os.RemoveAll(registry)
-			epoch = launch.Epoch()
-			if *collectorAddr != "" {
-				_, colSrv, colURL, err = launch.StartCollector(collector.Config{Ranks: *ranks, Job: "asmpipeline"}, *collectorAddr, registry, epoch)
-				if err != nil {
-					fail(err)
-				}
-				defer func() { time.Sleep(*collectorLinger); colSrv.Close() }()
-				fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", colURL)
-			}
-			childObs := ""
-			if *obsAddr != "" {
-				childObs = "127.0.0.1:0" // per-rank ephemeral server, address published to the registry
-			}
-			tel := launch.Telemetry{ObsAddr: childObs, Collector: colURL}
-			if fleet, err = launch.Spawn(*ranks, *transport, registry, epoch, tel); err != nil {
-				fail(err)
-			}
-			defer fleet.Wait()
-		}
-		if trans, err = launch.NewTransport(rank, *ranks, *transport, registry, epoch, 0); err != nil {
-			fail(err)
-		}
-		defer trans.Close()
-	default:
-		fail(fmt.Errorf("unknown -transport %q (inproc, tcp, unix)", *transport))
-	}
-
-	if *collectorAddr != "" && trans == nil {
-		// In-process machine: one collector, one reporter covering all
-		// ranks (the single tracer spans the whole run).
-		var err error
-		_, colSrv, colURL, err = launch.StartCollector(collector.Config{Ranks: *ranks, Job: "asmpipeline"}, *collectorAddr, "", 0)
-		if err != nil {
-			fail(err)
-		}
-		defer func() { time.Sleep(*collectorLinger); colSrv.Close() }()
-		fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", colURL)
-	}
-
-	var tr *obs.Tracer
-	var reg *obs.Registry
-	if *obsAddr != "" || *eventsOut != "" || colURL != "" {
-		tr = obs.NewTracer(*ranks, obs.DefaultRingCap)
-		reg = obs.NewRegistry()
-	}
-	if *obsAddr != "" {
-		srv, err := launch.ServeRankObs(*obsAddr, rank, reg, tr, registry, epoch, analyze.Endpoint(tr))
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		if rank == 0 {
-			fmt.Printf("observability server on http://%s (/metrics /trace /timeline /analyze /debug/pprof)\n", srv.Addr)
-		}
-	}
-	var rep *collector.Reporter
-	if colURL != "" {
-		covers := []int{rank}
-		if trans == nil {
-			covers = launch.AllRanks(*ranks)
-		}
-		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: rank, Covers: covers, Job: "asmpipeline",
-			Tracer: tr, Registry: reg,
-		})
-	}
-
-	// Graceful interrupt: flush the telemetry that exists so far (events
-	// dump, reporter final flush with an "interrupted" verdict), stop
-	// spawned worker ranks, and drain the collector before exiting.
-	launch.OnSignal(func(sig os.Signal) {
-		var dump *obs.Dump
-		if tr != nil {
-			dump = tr.Dump()
-		}
-		rep.Close(dump, false, "interrupted: "+sig.String())
-		if *eventsOut != "" && dump != nil {
-			writeEvents(dump, *eventsOut, rank, *transport)
-		}
-		if fleet != nil {
-			fleet.KillAll()
-		}
-		if colSrv != nil {
-			colSrv.Close()
-		}
-	})
-
-	f, err := os.Open(*in)
+	frags, err := repro.ReadFASTAFile(*in)
 	if err != nil {
-		fail(err)
+		h.Exit(err)
 	}
-	frags, err := repro.ReadFASTA(f)
-	f.Close()
-	if err != nil {
-		fail(fmt.Errorf("malformed input %s: %w", *in, err))
-	}
-
 	if *qual != "" {
 		qf, err := os.Open(*qual)
 		if err != nil {
-			fail(err)
+			h.Exit(err)
 		}
 		quals, err := seq.ReadQual(qf)
 		qf.Close()
@@ -221,7 +80,7 @@ func main() {
 			err = repro.AttachQuals(frags, quals)
 		}
 		if err != nil {
-			fail(fmt.Errorf("malformed qualities %s: %w", *qual, err))
+			h.Exit(fmt.Errorf("malformed qualities %s: %w", *qual, err))
 		}
 	}
 
@@ -234,7 +93,7 @@ func main() {
 	case repro.StoreDisk:
 		cfg.Store = repro.StoreConfig{Backend: repro.StoreDisk}
 	default:
-		fail(fmt.Errorf("unknown -store %q (mem, disk)", *store))
+		h.Exit(launch.Usagef("unknown -store %q (mem, disk)", *store))
 	}
 	cfg.PreprocessEnabled = *mask || *qual != ""
 	if *mask {
@@ -244,29 +103,19 @@ func main() {
 	}
 	if *ranks >= 2 {
 		cfg.Parallel = repro.DefaultParallelConfig(*ranks)
-		cfg.Parallel.Trace = tr
-		cfg.Parallel.Metrics = reg
-		if *faults != "" {
-			plan, err := cluster.ParseFaults(*faults)
-			if err != nil {
-				fail(err)
-			}
-			cfg.Parallel.Faults = plan
-		}
-		if trans != nil {
-			cfg.Parallel.FT = true // real processes genuinely die
-			cfg.Transport = trans
-			cfg.TransportRank = rank
-		}
-	} else if *faults != "" {
-		fail(fmt.Errorf("-faults requires -ranks ≥ 2"))
 	}
-	cfg.AssemblyGuard = &assembly.Guard{
-		Retries:  *retries,
-		Backoff:  10 * time.Millisecond,
-		Deadline: *deadline,
-		Trace:    tr,
-		Metrics:  reg,
+	if *faults != "" {
+		if *ranks < 2 {
+			h.Exit(launch.Usagef("-faults requires -ranks ≥ 2"))
+		}
+		if h.Transport != "inproc" {
+			h.Exit(launch.Usagef("-faults is for the simulated in-process machine; use real process kills with -transport %s", h.Transport))
+		}
+		plan, err := cluster.ParseFaults(*faults)
+		if err != nil {
+			h.Exit(launch.UsageError{Err: err})
+		}
+		cfg.Parallel.Faults = plan
 	}
 
 	// Out-of-core fields join the fingerprint only when set, so
@@ -279,66 +128,43 @@ func main() {
 	if *memBudget > 0 {
 		manifestFlags += fmt.Sprintf(" membudget=%d", *memBudget)
 	}
-	var profSess *prof.Session
-	if *profDir != "" {
-		// PID-unique stems keep multi-process ranks from clobbering
-		// each other in a shared -prof-dir.
-		profSess, err = prof.Start(prof.Config{
-			Dir:      *profDir,
-			Name:     fmt.Sprintf("rank%d-p%d", rank, os.Getpid()),
-			Registry: reg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmpipeline: profiling disabled:", err)
-		}
-	}
-	stopProf := func() {
-		if profSess == nil {
-			return
-		}
-		arts, perr := profSess.Stop()
-		profSess = nil
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "asmpipeline: profile stop:", perr)
-		} else if rank == 0 {
-			fmt.Printf("profile artifacts: %s (asmprof %s)\n", arts.CPU, *profDir)
-		}
-	}
 
+	// Every process of a multi-process run re-reads and
+	// re-preprocesses the same input deterministically; only rank 0
+	// assembles and writes output.
+	h.OnSignal()
+	if err := h.Start(*ranks); err != nil {
+		h.Exit(err)
+	}
+	cfg.Parallel.Trace = h.Tracer
+	cfg.Parallel.Metrics = h.Metrics
+	if h.Trans != nil {
+		cfg.Parallel.FT = true // real processes genuinely die
+		cfg.Transport = h.Trans
+		cfg.TransportRank = h.Rank
+	}
+	cfg.AssemblyGuard = &assembly.Guard{
+		Retries:  *retries,
+		Backoff:  10 * time.Millisecond,
+		Deadline: *deadline,
+		Trace:    h.Tracer,
+		Metrics:  h.Metrics,
+	}
 	res, err := pipeline.Run(frags, pipeline.Config{
 		Core:    cfg,
 		Workdir: *workdir,
 		Resume:  *resume,
 		Flags:   manifestFlags,
 	})
-	stopProf()
 	if err != nil {
-		rep.Close(nil, false, err.Error())
-		fail(err)
+		h.Exit(err)
 	}
-
-	// One tracer snapshot shared by the events file and the reporter's
-	// final flush, so the collector's merged trace is byte-identical to
-	// merging the dump files.
-	var dump *obs.Dump
-	if tr != nil {
-		dump = tr.Dump()
-	}
-	if rank != 0 {
-		// Worker-rank process: clustering is done, the master owns
-		// all remaining phases and every output file.
-		writeEvents(dump, *eventsOut, rank, *transport)
-		rep.Close(dump, true, "")
-		return
+	h.AtExit(func() { res.Close() })
+	if h.Rank != 0 {
+		h.Finish(res.RankExit) // the master owns all remaining phases and every output file
 	}
 
 	summaryTable(len(frags), res, os.Stdout)
-
-	of, err := os.Create(*out)
-	if err != nil {
-		fail(err)
-	}
-	defer of.Close()
 	var contigFrags []*repro.Fragment
 	for ci, cs := range res.Contigs {
 		for ki, c := range cs {
@@ -348,34 +174,14 @@ func main() {
 			})
 		}
 	}
-	if err := repro.WriteFASTA(of, contigFrags); err != nil {
-		fail(err)
+	of, err := os.Create(*out)
+	if err == nil {
+		if err = repro.WriteFASTA(of, contigFrags); err == nil {
+			err = of.Close()
+		}
 	}
-	fmt.Printf("wrote %d contigs to %s\n", len(contigFrags), *out)
-
-	writeEvents(dump, *eventsOut, 0, *transport)
-	rep.Close(dump, true, "")
-}
-
-// writeEvents writes one process's events dump. Transport runs suffix
-// the path with the rank, one dump per OS process, so cross-rank
-// analysis can merge them afterwards (tracecheck -events a.rank0 ...).
-func writeEvents(d *obs.Dump, path string, rank int, transport string) {
-	if path == "" || d == nil {
-		return
+	if err == nil {
+		fmt.Printf("wrote %d contigs to %s\n", len(contigFrags), *out)
 	}
-	if transport != "inproc" {
-		path = fmt.Sprintf("%s.rank%d", path, rank)
-	}
-	ef, err := os.Create(path)
-	if err != nil {
-		fail(err)
-	}
-	if err := d.WriteJSON(ef); err == nil {
-		err = ef.Close()
-	}
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote %s\n", path)
+	h.Exit(err)
 }

@@ -1,5 +1,13 @@
 package cluster
 
+import (
+	"bufio"
+	"fmt"
+	"io"
+
+	"repro/internal/seq"
+)
+
 // PartitionLabels canonicalizes a clustering result: each fragment is
 // labeled with the smallest fragment index in its cluster, so two
 // results describe the same partition exactly when their label slices
@@ -30,4 +38,14 @@ func SamePartition(got, want []int) bool {
 		}
 	}
 	return true
+}
+
+// WriteLabelsTSV writes the cluster assignment: one
+// "name<TAB>label" line per fragment, labels as PartitionLabels.
+func WriteLabelsTSV(w io.Writer, store seq.Seqs, res *Result) error {
+	bw := bufio.NewWriter(w)
+	for i, l := range PartitionLabels(res) {
+		fmt.Fprintf(bw, "%s\t%d\n", store.FragName(i), l)
+	}
+	return bw.Flush()
 }

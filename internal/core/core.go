@@ -86,6 +86,9 @@ type Result struct {
 	// AssemblyOutcomes has one entry per cluster when a guard ran;
 	// nil otherwise.
 	AssemblyOutcomes []assembly.Outcome
+	// RankExit is this process's rank verdict when Transport is set:
+	// a worker the master fenced out returns with OK false.
+	RankExit par.Exit
 
 	// closeStore releases the store backend (disk backend only).
 	closeStore func() error
@@ -159,7 +162,7 @@ func Run(frags []*seq.Fragment, cfg Config) (*Result, error) {
 	if cfg.Parallel.Ranks >= 2 {
 		var err error
 		if cfg.Transport != nil {
-			res.Clustering, _, _, err = cluster.ParallelRank(res.Store, cfg.Cluster, cfg.Parallel, cfg.TransportRank, cfg.Transport)
+			res.Clustering, _, res.RankExit, err = cluster.ParallelRank(res.Store, cfg.Cluster, cfg.Parallel, cfg.TransportRank, cfg.Transport)
 			if err != nil {
 				return nil, err
 			}

@@ -15,8 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/launch"
-	"repro/internal/obs"
-	"repro/internal/obs/collector"
 	"repro/internal/obs/prof"
 	"repro/internal/pipeline"
 	"repro/internal/preprocess"
@@ -134,59 +132,23 @@ func RunJob(dir string) int {
 
 	// Per-job telemetry: this attempt serves its own run collector so
 	// asmtop (pointed at the URL from the job status) can attach live.
-	tr := obs.NewTracer(spec.Ranks, obs.DefaultRingCap)
-	reg := obs.NewRegistry()
-	var rep *collector.Reporter
-	_, colSrv, colURL, err := launch.StartCollector(collector.Config{Ranks: spec.Ranks, Job: id}, "127.0.0.1:0", "", 0)
-	if err == nil {
-		writeFileAtomic(filepath.Join(dir, collectorFile), []byte(colURL+"\n"))
-		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: 0, Covers: launch.AllRanks(spec.Ranks), Job: id,
-			Tracer: tr, Registry: reg,
-		})
-		defer colSrv.Close()
-	} else {
+	// Profiling artifacts go under <job>/prof with a PID-unique stem. A
+	// SIGKILLed attempt leaves a truncated CPU stream behind; the
+	// completing attempt's merge skips what cannot parse, so the
+	// archived profile is reproducible whatever happened in between.
+	h := launch.New(id)
+	h.Collector = "127.0.0.1:0"
+	if spec.Profile {
+		h.ProfDir = filepath.Join(dir, profDir)
+	}
+	if err := h.Start(spec.Ranks); err != nil {
 		// Telemetry must never take the job down.
 		fmt.Fprintln(os.Stderr, "runner: collector disabled:", err)
+		h.Collector = ""
+		h.Start(spec.Ranks) // in-process without a collector: cannot fail
 	}
-
-	// Profiling session: artifacts under <job>/prof with a PID-unique
-	// stem. A SIGKILLed attempt leaves a truncated CPU stream behind;
-	// the completing attempt's merge skips what cannot parse, so the
-	// archived profile is reproducible whatever happened in between.
-	var profSess *prof.Session
-	if spec.Profile {
-		s, perr := prof.Start(prof.Config{
-			Dir:      filepath.Join(dir, profDir),
-			Name:     fmt.Sprintf("rank0-p%d", os.Getpid()),
-			Registry: reg,
-		})
-		if perr != nil {
-			// Profiling must never take the job down.
-			fmt.Fprintln(os.Stderr, "runner: profiling disabled:", perr)
-		} else {
-			profSess = s
-		}
-	}
-	stopProf := func() {
-		if profSess == nil {
-			return
-		}
-		arts, perr := profSess.Stop()
-		profSess = nil
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "runner: profile stop:", perr)
-			return
-		}
-		// Best-effort upload so the collector's /profiles plane can
-		// serve the cross-rank merge while artifacts stay job-local.
-		if rep != nil {
-			if data, rerr := os.ReadFile(arts.CPU); rerr == nil {
-				if uerr := rep.PostProfile(filepath.Base(arts.CPU), data); uerr != nil {
-					fmt.Fprintln(os.Stderr, "runner: profile upload:", uerr)
-				}
-			}
-		}
+	if h.CollectorURL != "" {
+		writeFileAtomic(filepath.Join(dir, collectorFile), []byte(h.CollectorURL+"\n"))
 	}
 
 	cfg := core.DefaultConfig()
@@ -200,14 +162,14 @@ func RunJob(dir string) int {
 	}
 	if spec.Ranks >= 2 {
 		cfg.Parallel = cluster.DefaultParallelConfig(spec.Ranks)
-		cfg.Parallel.Trace = tr
-		cfg.Parallel.Metrics = reg
+		cfg.Parallel.Trace = h.Tracer
+		cfg.Parallel.Metrics = h.Metrics
 	}
 	cfg.AssemblyGuard = &assembly.Guard{
 		Retries: spec.AssemblyRetries,
 		Backoff: 10 * time.Millisecond,
-		Trace:   tr,
-		Metrics: reg,
+		Trace:   h.Tracer,
+		Metrics: h.Metrics,
 	}
 	if spec.Store == "disk" {
 		// Dir is left empty: the pipeline anchors the store under the
@@ -229,25 +191,22 @@ func RunJob(dir string) int {
 		},
 	})
 	if err != nil {
-		stopProf()
+		fmt.Fprintln(os.Stderr, "runner:", err)
 		switch {
 		case errors.Is(err, pipeline.ErrInterrupted):
-			rep.Close(nil, false, "interrupted: checkpointed at phase boundary")
-			fmt.Fprintln(os.Stderr, "runner:", err)
+			h.Close(errors.New("interrupted: checkpointed at phase boundary"))
 			return ExitInterrupted
 		case errors.Is(err, pipeline.ErrWorkdirLocked):
-			rep.Close(nil, false, "workdir busy")
-			fmt.Fprintln(os.Stderr, "runner:", err)
+			h.Close(errors.New("workdir busy"))
 			return ExitBusy
 		default:
-			rep.Close(nil, false, err.Error())
-			fmt.Fprintln(os.Stderr, "runner:", err)
+			h.Close(err)
 			return 1
 		}
 	}
 
 	defer res.Close()
-	stopProf()
+	h.StopProfile()
 	if spec.Profile {
 		if merr := writeMergedProfile(dir); merr != nil {
 			// The job result stands; only the profile archive is lost.
@@ -255,12 +214,12 @@ func RunJob(dir string) int {
 		}
 	}
 	if err := writeResults(dir, res, started); err != nil {
-		rep.Close(nil, false, err.Error())
 		fmt.Fprintln(os.Stderr, "runner:", err)
+		h.Close(err)
 		return 1
 	}
 	writeFileAtomic(filepath.Join(dir, progressFile), []byte("done\n"))
-	rep.Close(nil, true, "")
+	h.Close(nil)
 	return 0
 }
 

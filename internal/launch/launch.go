@@ -13,11 +13,11 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/par"
-	"repro/internal/par/nettrans"
+	"repro/internal/obs"
 )
 
 const (
@@ -28,8 +28,6 @@ const (
 	epochEnv     = "ASM_SPMD_EPOCH"
 	obsEnv       = "ASM_SPMD_OBS"       // per-rank obs server listen addr ("" = off)
 	collectorEnv = "ASM_SPMD_COLLECTOR" // run collector base URL
-	eventsEnv    = "ASM_SPMD_EVENTS"    // events-dump base path (rank suffix added)
-	traceEnv     = "ASM_SPMD_TRACE"     // Chrome-trace base path (rank suffix added)
 )
 
 // Child describes this process's role in a spawned SPMD job.
@@ -44,13 +42,10 @@ type Child struct {
 	// rank's own observability listen address (parents pass an
 	// ephemeral ":0"-style address so every rank is individually
 	// scrapeable; the rank publishes the bound address back into the
-	// registry). Collector is the run collector's base URL. EventsOut
-	// and TraceOut are dump-path bases the rank suffixes with its
-	// rank number. All empty when the parent ran without telemetry.
+	// registry). Collector is the run collector's base URL. Both empty
+	// when the parent ran without telemetry.
 	ObsAddr   string
 	Collector string
-	EventsOut string
-	TraceOut  string
 }
 
 // Telemetry is the optional observability wiring Spawn forwards to
@@ -58,8 +53,6 @@ type Child struct {
 type Telemetry struct {
 	ObsAddr   string // children listen here (use "127.0.0.1:0" for per-rank ephemeral ports)
 	Collector string // run collector base URL children report to
-	EventsOut string // events-dump base path (children append .rank<r>)
-	TraceOut  string // Chrome-trace base path (children append .rank<r>)
 }
 
 // env renders the telemetry wiring as environment entries.
@@ -70,12 +63,6 @@ func (t Telemetry) env() []string {
 	}
 	if t.Collector != "" {
 		out = append(out, collectorEnv+"="+t.Collector)
-	}
-	if t.EventsOut != "" {
-		out = append(out, eventsEnv+"="+t.EventsOut)
-	}
-	if t.TraceOut != "" {
-		out = append(out, traceEnv+"="+t.TraceOut)
 	}
 	return out
 }
@@ -105,69 +92,41 @@ func FromEnv() (Child, bool, error) {
 	}
 	c.ObsAddr = os.Getenv(obsEnv)
 	c.Collector = os.Getenv(collectorEnv)
-	c.EventsOut = os.Getenv(eventsEnv)
-	c.TraceOut = os.Getenv(traceEnv)
 	if c.Rank < 1 || c.Rank >= c.Size {
 		return Child{}, false, fmt.Errorf("launch: child rank %d out of range for size %d", c.Rank, c.Size)
 	}
 	return c, true, nil
 }
 
-// Transport builds this rank's socket endpoint. Liveness ≤ 0 keeps
-// the nettrans default.
-func (c Child) Transport(liveness time.Duration) (par.Transport, error) {
-	return NewTransport(c.Rank, c.Size, c.Network, c.Registry, c.Epoch, liveness)
-}
-
-// NewTransport builds a nettrans endpoint for one rank of a job.
-func NewTransport(rank, size int, network, registry string, epoch uint64, liveness time.Duration) (par.Transport, error) {
-	cfg := nettrans.Config{
-		Rank:        rank,
-		Size:        size,
-		Network:     network,
-		RegistryDir: registry,
-		Epoch:       epoch,
-	}
-	if liveness > 0 {
-		cfg.Liveness = liveness
-	}
-	return nettrans.New(cfg)
-}
-
 // Fleet is the set of worker-rank processes spawned by rank 0.
 type Fleet struct {
+	mu    sync.Mutex // guards procs: a kill may race the reaping
 	procs map[int]*exec.Cmd
 }
 
 // Spawn re-executes the current binary as ranks 1..size-1 of a job
 // rooted at this process (which becomes rank 0). Children inherit
 // the parent's arguments verbatim; their stdout is redirected to the
-// parent's stderr so rank 0 alone owns the job's stdout. An optional
-// Telemetry argument forwards observability wiring to every child.
-func Spawn(size int, network, registry string, epoch uint64, tel ...Telemetry) (*Fleet, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("launch: resolve executable: %w", err)
-	}
-	var telEnv []string
-	for _, t := range tel {
-		telEnv = append(telEnv, t.env()...)
-	}
+// parent's stderr so rank 0 alone owns the job's stdout. tel forwards
+// observability wiring to every child.
+func Spawn(size int, network, registry string, epoch uint64, tel Telemetry) (*Fleet, error) {
 	f := &Fleet{procs: make(map[int]*exec.Cmd)}
 	for r := 1; r < size; r++ {
-		cmd := exec.Command(exe, os.Args[1:]...)
-		cmd.Env = append(os.Environ(),
-			rankEnv+"="+strconv.Itoa(r),
-			sizeEnv+"="+strconv.Itoa(size),
-			networkEnv+"="+network,
-			registryEnv+"="+registry,
-			epochEnv+"="+strconv.FormatUint(epoch, 10),
-		)
-		cmd.Env = append(cmd.Env, telEnv...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
+		cmd, err := SelfExec(append([]string{
+			rankEnv + "=" + strconv.Itoa(r),
+			sizeEnv + "=" + strconv.Itoa(size),
+			networkEnv + "=" + network,
+			registryEnv + "=" + registry,
+			epochEnv + "=" + strconv.FormatUint(epoch, 10),
+		}, tel.env()...), os.Args[1:]...)
+		if err == nil {
+			cmd.Stdout = os.Stderr
+			cmd.Stderr = os.Stderr
+			err = cmd.Start()
+		}
+		if err != nil {
 			f.KillAll()
+			f.Wait()
 			return nil, fmt.Errorf("launch: spawn rank %d: %w", r, err)
 		}
 		f.procs[r] = cmd
@@ -179,7 +138,9 @@ func Spawn(size int, network, registry string, epoch uint64, tel ...Telemetry) (
 // primitive for conformance tests (a killed process cannot flush,
 // drain, or say goodbye).
 func (f *Fleet) Kill(rank int) error {
+	f.mu.Lock()
 	cmd, ok := f.procs[rank]
+	f.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("launch: no spawned process for rank %d", rank)
 	}
@@ -188,6 +149,8 @@ func (f *Fleet) Kill(rank int) error {
 
 // KillAll forcibly terminates every spawned rank (cleanup path).
 func (f *Fleet) KillAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for _, cmd := range f.procs {
 		if cmd.Process != nil {
 			_ = cmd.Process.Kill()
@@ -195,20 +158,48 @@ func (f *Fleet) KillAll() {
 	}
 }
 
-// Wait reaps every spawned rank and returns the per-rank exit error
-// (nil for a clean exit). It must be called exactly once.
+// Wait reaps every spawned rank not yet reaped and returns the
+// per-rank exit error (nil for a clean exit). A second call returns
+// an empty map.
 func (f *Fleet) Wait() map[int]error {
-	out := make(map[int]error, len(f.procs))
-	for r, cmd := range f.procs {
+	f.mu.Lock()
+	procs := f.procs
+	f.procs = nil
+	f.mu.Unlock()
+	out := make(map[int]error, len(procs))
+	for r, cmd := range procs {
 		out[r] = cmd.Wait()
 	}
 	return out
 }
 
-// Epoch derives a job epoch from the wall clock. Epochs distinguish
+// KillInClustering SIGKILLs worker rank as soon as tr, rank 0's
+// tracer, shows the master protocol loop: every rank has then passed
+// the GST barrier, so the kill lands mid-clustering however quickly
+// the host built the tree. It reports whether the kill was sent, and
+// gives up when stop is closed.
+func (f *Fleet) KillInClustering(tr *obs.Tracer, rank int, stop <-chan struct{}) bool {
+	var cursor uint64
+	for {
+		var evs []obs.Event
+		evs, cursor, _ = tr.EventsSince(0, cursor)
+		for _, e := range evs {
+			if e.Kind == obs.EvPhaseEnter && e.A == obs.PhaseMaster {
+				return f.Kill(rank) == nil
+			}
+		}
+		select {
+		case <-stop:
+			return false
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
+// newEpoch derives a job epoch from the wall clock. Epochs distinguish
 // concurrent or successive jobs sharing a registry directory; they
 // need only be unique per registry, not globally.
-func Epoch() uint64 {
+func newEpoch() uint64 {
 	return uint64(time.Now().UnixNano())
 }
 

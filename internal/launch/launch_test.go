@@ -12,7 +12,7 @@ import (
 // with t.Setenv so the test runner restores it.
 func setJobEnv(t *testing.T, kv map[string]string) {
 	t.Helper()
-	for _, k := range []string{rankEnv, sizeEnv, networkEnv, registryEnv, epochEnv, obsEnv, collectorEnv, eventsEnv, traceEnv} {
+	for _, k := range []string{rankEnv, sizeEnv, networkEnv, registryEnv, epochEnv, obsEnv, collectorEnv} {
 		t.Setenv(k, kv[k])
 	}
 }
@@ -21,8 +21,6 @@ func TestFromEnvTelemetryRoundTrip(t *testing.T) {
 	tel := Telemetry{
 		ObsAddr:   "127.0.0.1:0",
 		Collector: "http://127.0.0.1:9090",
-		EventsOut: "/tmp/ev.json",
-		TraceOut:  "/tmp/trace.json",
 	}
 	kv := map[string]string{
 		rankEnv: "2", sizeEnv: "4", networkEnv: "tcp",
@@ -45,8 +43,7 @@ func TestFromEnvTelemetryRoundTrip(t *testing.T) {
 	if c.Rank != 2 || c.Size != 4 || c.Network != "tcp" || c.Registry != "/tmp/reg" || c.Epoch != 17 {
 		t.Fatalf("job fields mangled: %+v", c)
 	}
-	if c.ObsAddr != tel.ObsAddr || c.Collector != tel.Collector ||
-		c.EventsOut != tel.EventsOut || c.TraceOut != tel.TraceOut {
+	if c.ObsAddr != tel.ObsAddr || c.Collector != tel.Collector {
 		t.Fatalf("telemetry fields mangled: %+v", c)
 	}
 }
@@ -68,12 +65,12 @@ func TestFromEnvRejectsBadRank(t *testing.T) {
 	}
 }
 
-// TestCollectorRegistryDiscovery: StartCollector publishes its bound
+// TestCollectorRegistryDiscovery: startCollector publishes its bound
 // address as the "collector" service, the same rendezvous asmtop's
 // -registry flag resolves.
 func TestCollectorRegistryDiscovery(t *testing.T) {
 	dir := t.TempDir()
-	_, srv, url, err := StartCollector(collector.Config{Ranks: 2, Job: "launch-test"}, "127.0.0.1:0", dir, 1)
+	srv, url, err := startCollector(collector.Config{Ranks: 2, Job: "launch-test"}, "127.0.0.1:0", dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +80,6 @@ func TestCollectorRegistryDiscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != url {
-		t.Fatalf("registry names %q, StartCollector returned %q", got, url)
+		t.Fatalf("registry names %q, startCollector returned %q", got, url)
 	}
 }

@@ -19,31 +19,30 @@ const CollectorService = "collector"
 // ports the registry is the only place the bound address exists.
 func RankObsService(r int) string { return fmt.Sprintf("obs-rank-%d", r) }
 
-// StartCollector starts the run-scoped telemetry collector listening
+// startCollector starts the run-scoped telemetry collector listening
 // on addr, publishes its base URL into the rendezvous registry (when
-// registry is non-empty), and returns the collector, its HTTP server,
-// and the URL. The caller owns the server; close it only after every
-// rank's final flush has landed (i.e. after Fleet.Wait).
-func StartCollector(cfg collector.Config, addr, registry string, epoch uint64) (*collector.Collector, *obs.Server, string, error) {
-	col := collector.New(cfg)
-	srv, err := col.Serve(addr)
+// registry is non-empty), and returns its HTTP server and the URL.
+// The caller owns the server; close it only after every rank's final
+// flush has landed (i.e. after Fleet.Wait).
+func startCollector(cfg collector.Config, addr, registry string, epoch uint64) (*obs.Server, string, error) {
+	srv, err := collector.New(cfg).Serve(addr)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	url := "http://" + srv.Addr
 	if registry != "" {
 		if err := nettrans.PublishService(registry, CollectorService, url, epoch); err != nil {
 			srv.Close()
-			return nil, nil, "", fmt.Errorf("launch: publish collector: %w", err)
+			return nil, "", fmt.Errorf("launch: publish collector: %w", err)
 		}
 	}
-	return col, srv, url, nil
+	return srv, url, nil
 }
 
-// ServeRankObs starts one rank's own observability server and, when a
+// serveRankObs starts one rank's own observability server and, when a
 // registry directory is given, publishes the bound address so the
 // rank is individually scrapeable even behind an ephemeral port.
-func ServeRankObs(addr string, rank int, reg *obs.Registry, tr *obs.Tracer, registry string, epoch uint64, extra ...obs.Endpoint) (*obs.Server, error) {
+func serveRankObs(addr string, rank int, reg *obs.Registry, tr *obs.Tracer, registry string, epoch uint64, extra ...obs.Endpoint) (*obs.Server, error) {
 	srv, err := obs.Serve(addr, reg, tr, extra...)
 	if err != nil {
 		return nil, err
@@ -57,9 +56,9 @@ func ServeRankObs(addr string, rank int, reg *obs.Registry, tr *obs.Tracer, regi
 	return srv, nil
 }
 
-// AllRanks returns [0..size), the Covers list for an in-process run
+// allRanks returns [0..size), the Covers list for an in-process run
 // whose single tracer spans every rank.
-func AllRanks(size int) []int {
+func allRanks(size int) []int {
 	out := make([]int, size)
 	for i := range out {
 		out[i] = i

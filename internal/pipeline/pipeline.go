@@ -135,7 +135,7 @@ func Run(frags []*seq.Fragment, cfg Config) (*core.Result, error) {
 		onPhase(PhaseCluster)
 		if ccfg.Parallel.Ranks >= 2 {
 			if ccfg.Transport != nil {
-				res.Clustering, _, _, err = cluster.ParallelRank(res.Store, ccfg.Cluster, ccfg.Parallel, ccfg.TransportRank, ccfg.Transport)
+				res.Clustering, _, res.RankExit, err = cluster.ParallelRank(res.Store, ccfg.Cluster, ccfg.Parallel, ccfg.TransportRank, ccfg.Transport)
 			} else {
 				res.Clustering, res.Phases, err = cluster.Parallel(res.Store, ccfg.Cluster, ccfg.Parallel)
 			}

@@ -4,31 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
-	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/launch"
 	"repro/internal/obs"
 	"repro/internal/obs/check"
 	"repro/internal/obs/collector"
 	"repro/internal/par/nettrans"
 	"repro/internal/seq"
 	"repro/internal/simulate"
-)
-
-// Child-process environment: when set, the test binary is one worker
-// rank of a conformance job instead of the test driver. envCollector
-// additionally points the rank at a live telemetry collector.
-const (
-	envRank      = "TRANSCONF_RANK"
-	envSize      = "TRANSCONF_SIZE"
-	envNet       = "TRANSCONF_NET"
-	envRegistry  = "TRANSCONF_REGISTRY"
-	envCollector = "TRANSCONF_COLLECTOR"
 )
 
 // Timing constants are sized for the race detector's ~10x slowdown: a
@@ -43,9 +30,16 @@ const (
 	liveness = 4 * time.Second
 )
 
+// TestMain turns the test binary into a worker rank when launch.Spawn
+// re-executed it as one.
 func TestMain(m *testing.M) {
-	if os.Getenv(envRank) != "" {
-		childMain()
+	c, isChild, err := launch.FromEnv()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "transconf child:", err)
+		os.Exit(1)
+	}
+	if isChild {
+		childMain(c)
 		return
 	}
 	os.Exit(m.Run())
@@ -93,29 +87,25 @@ func dumpPath(registry string, rank int) string {
 
 // childMain is one worker rank: regenerate the workload, cluster
 // through the socket transport, leave an events dump for the driver —
-// and, when envCollector names a collector, stream telemetry to it
+// and, when the parent forwarded a collector, stream telemetry to it
 // while running and final-flush the same dump snapshot the dump file
 // gets (the byte-equivalence the live smoke test asserts).
-func childMain() {
+func childMain(c launch.Child) {
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "transconf child:", err)
 		os.Exit(1)
 	}
-	rank, err := strconv.Atoi(os.Getenv(envRank))
-	if err != nil {
-		die(err)
-	}
-	registry := os.Getenv(envRegistry)
+	rank, registry := c.Rank, c.Registry
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
 	var rep *collector.Reporter
-	if colURL := os.Getenv(envCollector); colURL != "" {
+	if c.Collector != "" {
 		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: rank, Job: "transconf",
+			URL: c.Collector, Rank: rank, Job: "transconf",
 			Interval: 50 * time.Millisecond, Tracer: tr,
 		})
 	}
-	t, err := newTransport(rank, os.Getenv(envNet), registry)
+	t, err := newTransport(rank, c.Network, registry)
 	if err != nil {
 		rep.Close(nil, false, err.Error())
 		die(err)
@@ -151,62 +141,20 @@ func serialLabels(store *seq.Store) []int {
 	return cluster.PartitionLabels(cluster.Serial(store, cluster.DefaultConfig()))
 }
 
-// spawnChildren re-executes this test binary as worker ranks
-// 1..jobSize-1, with cleanup that reaps whatever is still running.
-func spawnChildren(t *testing.T, network, registry string, extraEnv ...string) map[int]*exec.Cmd {
+// spawnChildren starts worker ranks 1..jobSize-1 as re-executions of
+// this test binary through launch.Spawn, with cleanup that kills and
+// reaps whatever is still running.
+func spawnChildren(t *testing.T, network, registry string, tel launch.Telemetry) *launch.Fleet {
 	t.Helper()
-	exe, err := os.Executable()
+	fleet, err := launch.Spawn(jobSize, network, registry, jobEpoch, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	children := make(map[int]*exec.Cmd, jobSize-1)
-	for r := 1; r < jobSize; r++ {
-		cmd := exec.Command(exe, "-transconf-child")
-		cmd.Env = append(os.Environ(),
-			envRank+"="+strconv.Itoa(r),
-			envSize+"="+strconv.Itoa(jobSize),
-			envNet+"="+network,
-			envRegistry+"="+registry,
-		)
-		cmd.Env = append(cmd.Env, extraEnv...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("spawn rank %d: %v", r, err)
-		}
-		children[r] = cmd
-	}
 	t.Cleanup(func() {
-		for _, cmd := range children {
-			if cmd.Process != nil {
-				_ = cmd.Process.Kill()
-			}
-			_ = cmd.Wait()
-		}
+		fleet.KillAll()
+		fleet.Wait()
 	})
-	return children
-}
-
-// killInClustering SIGKILLs cmd, the process of rank killRank, as soon
-// as rank 0's trace shows the master protocol loop: every rank has
-// then passed the GST barrier, so the kill lands mid-clustering
-// however quickly the host built the tree. It gives up when stop is
-// closed.
-func killInClustering(t *testing.T, tr *obs.Tracer, killRank int, cmd *exec.Cmd, stop <-chan struct{}) {
-	for {
-		for _, e := range tr.Events(0) {
-			if e.Kind == obs.EvPhaseEnter && e.A == obs.PhaseMaster {
-				t.Logf("SIGKILL rank %d as clustering starts", killRank)
-				_ = cmd.Process.Signal(syscall.SIGKILL)
-				return
-			}
-		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
+	return fleet
 }
 
 // runJob drives one multi-process clustering job: worker ranks are
@@ -218,14 +166,18 @@ func killInClustering(t *testing.T, tr *obs.Tracer, killRank int, cmd *exec.Cmd,
 func runJob(t *testing.T, network string, killRank int) ([]int, cluster.Stats, *obs.Dump) {
 	t.Helper()
 	registry := t.TempDir()
-	children := spawnChildren(t, network, registry)
+	fleet := spawnChildren(t, network, registry, launch.Telemetry{})
 
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
 	stopKill := make(chan struct{})
 	defer close(stopKill)
 	if killRank >= 1 {
-		go killInClustering(t, tr, killRank, children[killRank], stopKill)
+		go func() {
+			if fleet.KillInClustering(tr, killRank, stopKill) {
+				t.Logf("SIGKILL rank %d as clustering starts", killRank)
+			}
+		}()
 	}
 	trans, err := newTransport(0, network, registry)
 	if err != nil {
@@ -243,9 +195,7 @@ func runJob(t *testing.T, network string, killRank int) ([]int, cluster.Stats, *
 	}
 
 	// Reap the workers: every rank except a killed one must exit 0.
-	for r, cmd := range children {
-		werr := cmd.Wait()
-		delete(children, r)
+	for r, werr := range fleet.Wait() {
 		if r == killRank {
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/launch"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/collector"
@@ -50,12 +51,30 @@ func getStatus(t *testing.T, base string) *collector.Status {
 	return &st
 }
 
-// clusteringPhase holds the phases a worker streams while it takes
-// part in clustering.
-var clusteringPhase = map[string]bool{
-	obs.PhaseName(obs.PhaseCluster): true,
-	obs.PhaseName(obs.PhasePairGen): true,
-	obs.PhaseName(obs.PhaseAlign):   true,
+// waitSeen polls the collector at base until rank has reported, giving up
+// when stop closes or the collector goes away.
+func waitSeen(base string, rank int, stop <-chan struct{}) bool {
+	for {
+		resp, err := http.Get(base + "/status")
+		if err != nil {
+			return false // collector gone: the test is over
+		}
+		var st collector.Status
+		derr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if derr == nil {
+			for _, row := range st.Ranks {
+				if row.Rank == rank && row.State != collector.StateWaiting {
+					return true
+				}
+			}
+		}
+		select {
+		case <-stop:
+			return false
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
 }
 
 // runLiveJob runs one collector-observed multi-process job and returns
@@ -74,40 +93,24 @@ func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config
 	t.Cleanup(func() { srv.Close() })
 	base := "http://" + srv.Addr
 
-	children := spawnChildren(t, network, registry, envCollector+"="+base)
+	fleet := spawnChildren(t, network, registry, launch.Telemetry{Collector: base})
+	store := seq.NewStore(workload())
+	tr := obs.NewTracer(jobSize, 1<<16)
+	stopKill := make(chan struct{})
+	defer close(stopKill)
 	if killRank >= 1 {
-		cmd := children[killRank]
-		// Kill only once the collector has seen the rank in a
-		// clustering phase: its death then shows up as a growing
-		// heartbeat lag rather than a rank that never reported, and
-		// it dies holding leases, regardless of how slowly the child
-		// process starts (the race detector makes startup ~10x
-		// slower) or how quickly the GST phase ends.
+		// Kill only a rank the collector has already seen, so its
+		// death shows up as a growing heartbeat lag rather than a rank
+		// that never reported (the race detector makes child startup
+		// ~10x slower); the kill itself lands as clustering starts,
+		// with the rank holding its lease.
 		go func() {
-			deadline := time.Now().Add(2 * time.Minute)
-			for time.Now().Before(deadline) {
-				resp, err := http.Get(base + "/status")
-				if err != nil {
-					return // collector gone: the test is over
-				}
-				var st collector.Status
-				derr := json.NewDecoder(resp.Body).Decode(&st)
-				resp.Body.Close()
-				if derr == nil {
-					for _, row := range st.Ranks {
-						if row.Rank == killRank && clusteringPhase[row.Phase] {
-							_ = cmd.Process.Kill()
-							return
-						}
-					}
-				}
-				time.Sleep(20 * time.Millisecond)
+			if waitSeen(base, killRank, stopKill) {
+				fleet.KillInClustering(tr, killRank, stopKill)
 			}
 		}()
 	}
 
-	store := seq.NewStore(workload())
-	tr := obs.NewTracer(jobSize, 1<<16)
 	rep := collector.StartReporter(collector.ReporterConfig{
 		URL: base, Rank: 0, Job: "transconf",
 		Interval: 50 * time.Millisecond, Tracer: tr,
@@ -169,9 +172,7 @@ func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config
 
 	// Reap the workers; every surviving rank final-flushed on its way
 	// out (Close happens before exit).
-	for r, cmd := range children {
-		werr := cmd.Wait()
-		delete(children, r)
+	for r, werr := range fleet.Wait() {
 		if r != killRank && werr != nil {
 			t.Errorf("rank %d exited with error: %v", r, werr)
 		}

@@ -19,7 +19,9 @@
 package repro
 
 import (
+	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/assembly"
 	"repro/internal/cluster"
@@ -87,6 +89,20 @@ func ReadFASTA(r io.Reader) ([]*Fragment, error) {
 	frags := make([]*Fragment, len(recs))
 	for i, rec := range recs {
 		frags[i] = &Fragment{Name: rec.Name, Bases: rec.Bases}
+	}
+	return frags, nil
+}
+
+// ReadFASTAFile parses the FASTA file at path into fragments.
+func ReadFASTAFile(path string) ([]*Fragment, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	frags, err := ReadFASTA(f)
+	if err != nil {
+		return nil, fmt.Errorf("malformed input %s: %w", path, err)
 	}
 	return frags, nil
 }
